@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-nonative test-faults serve-smoke bench bench-gate bench-gate-quick bench-mem bench-shootout bench-shootout-quick scenarios scenarios-quick report examples all
+.PHONY: install lint test test-nonative test-faults serve-smoke bench bench-gate bench-gate-quick bench-selftest bench-mem bench-shootout bench-shootout-quick scenarios scenarios-quick report examples all
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -23,7 +23,7 @@ test:
 
 # Same suite with the compiled native backend masked: proves every
 # engine="native" / engine="auto" caller degrades cleanly to the vector
-# path on machines without Numba or a C compiler.
+# path on machines without a C compiler.
 test-nonative:
 	REPRO_DISABLE_NATIVE=1 $(PYTHON) -m pytest tests/ -q
 
@@ -49,6 +49,12 @@ bench-gate:
 
 bench-gate-quick:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_gate.py --quick
+
+# End-to-end benchmark self-test: runs every perfbench workload briefly
+# (see perfbench/README.md), so a change that breaks a workload fails
+# here before the full benchmark runs.
+bench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 # Measured counter-store footprint (dense vs pools vs Morris bytes per
 # flow at the one-million-flow gate scale), then the headline
@@ -81,4 +87,4 @@ report:
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null || exit 1; done; echo "all examples ran"
 
-all: lint test test-nonative test-faults serve-smoke bench bench-gate-quick bench-shootout-quick scenarios-quick
+all: lint test test-nonative test-faults serve-smoke bench bench-gate-quick bench-selftest bench-shootout-quick scenarios-quick

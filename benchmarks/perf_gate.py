@@ -1,7 +1,7 @@
 """Replay-engine throughput gate: measure, record trajectory, fail on regression.
 
-Times the three interpreted DISCO replay engines (``python``, ``fast``,
-``vector``) on one fixed seeded NLANR-like trace, plus each comparator
+Times the two interpreted DISCO replay engines (``python``, ``vector``)
+on one fixed seeded NLANR-like trace, plus each comparator
 scheme's columnar kernel (SAC, ANLS-I, ANLS-II, SD) against its
 pure-Python ``observe()`` loop on a smaller fixed comparator trace,
 plus — when the compiled backend is importable — every kernel's
@@ -84,7 +84,7 @@ NATIVE_NAMES = ("exact",) + COMPARATOR_NAMES
 #: is only enforced when the run actually measured it (``--quick`` skips
 #: the DISCO trace), but every key a run measures must exist in the
 #: committed baseline.
-GATE_KEYS = ("perf_vector_speedup", "perf_fast_speedup") + tuple(
+GATE_KEYS = ("perf_vector_speedup",) + tuple(
     f"perf_{name}_speedup" for name in COMPARATOR_NAMES
 )
 #: Maximum tolerated relative drop of a gated ratio.
@@ -277,14 +277,11 @@ def measure(trace=None, repeats: int = REPEATS) -> Dict[str, float]:
 
     packets = compiled.num_packets
     python_s = best_elapsed("python")
-    fast_s = best_elapsed("fast")
     vector_s = best_elapsed("vector")
     return {
         "perf_trace_packets": float(packets),
         "perf_python_pps": packets / python_s,
-        "perf_fast_pps": packets / fast_s,
         "perf_vector_pps": packets / vector_s,
-        "perf_fast_speedup": python_s / fast_s,
         "perf_vector_speedup": python_s / vector_s,
     }
 
@@ -334,11 +331,11 @@ def measure_native(trace=None, repeats: int = REPEATS) -> Dict[str, float]:
     comparators), on the same compiled comparator trace
     :func:`measure_comparators` uses so the pps numbers are directly
     comparable.  Returns ``{}`` when the native backend is unavailable
-    (no Numba and no C compiler, or ``REPRO_DISABLE_NATIVE=1``) — the
+    (no C compiler, or ``REPRO_DISABLE_NATIVE=1``) — the
     gate then simply skips the :data:`NATIVE_FLOORS` checks.
 
     One untimed warmup run per engine precedes the timed runs, so the
-    one-off JIT/compile cost (visible separately in the
+    one-off compile cost (visible separately in the
     ``replay.native.warmup`` telemetry span) never pollutes the
     throughput numbers.
     """
@@ -364,7 +361,7 @@ def measure_native(trace=None, repeats: int = REPEATS) -> Dict[str, float]:
         timings: Dict[str, float] = {}
         for engine in ("vector", "native"):
             replay(scheme_for(name, 0), compiled, order="asis",
-                   engine=engine)  # warmup: JIT/compile + caches
+                   engine=engine)  # warmup: compile + caches
             elapsed = []
             for seed in range(repeats):
                 result = replay(scheme_for(name, seed), compiled,
@@ -435,7 +432,7 @@ def measure_overhead(trace=None,
 
     from repro.core import native
 
-    engines = ["python", "fast", "vector"]
+    engines = ["python", "vector"]
     if native.available():
         engines.append("native")
     events: Dict[str, Dict[str, int]] = {}
@@ -611,8 +608,8 @@ def append_history(metrics: Dict[str, float],
     """Append one trajectory entry, pruning to the last ``limit`` runs.
 
     ``telemetry`` (the :func:`measure_overhead` report) and
-    ``native_backend`` (which compiled provider — ``"numba"``, ``"cc"``
-    or ``"none"`` — produced this run's ``perf_native_*`` numbers) are
+    ``native_backend`` (which compiled provider — ``"cc"`` or
+    ``"none"`` — produced this run's ``perf_native_*`` numbers) are
     recorded in the history only — never in ``baseline.json``, whose
     key set the accuracy gate checks exactly.
     """
@@ -711,7 +708,7 @@ def main(argv=None) -> int:
         print("replay-engine throughput (gate trace: "
               f"{TRACE_FLOWS} flows, "
               f"{int(metrics['perf_trace_packets'])} packets)")
-        for engine in ("python", "fast", "vector"):
+        for engine in ("python", "vector"):
             pps = metrics[f"perf_{engine}_pps"]
             line = f"  {engine:>7}: {pps / 1e6:6.2f} Mpps"
             if engine != "python":
@@ -741,7 +738,7 @@ def main(argv=None) -> int:
                   f"floor {NATIVE_FLOORS[name]:.1f}x)")
     else:
         print("native backend unavailable "
-              "(no Numba, no C compiler, or REPRO_DISABLE_NATIVE=1); "
+              "(no C compiler, or REPRO_DISABLE_NATIVE=1); "
               "skipping native floors")
 
     metrics.update(measure_stream_metrics())

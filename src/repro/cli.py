@@ -45,6 +45,7 @@ from repro.harness.experiments import (
     volume_error_vs_counter_size,
 )
 from repro.harness.formatting import render_series, render_table
+from repro.harness.runner import ENGINES
 from repro.core.stores import store_names
 from repro.errors import ParameterError
 from repro.facade import replay, stream
@@ -177,7 +178,7 @@ def _stream_engine(engine: str) -> str:
 
     The common parser accepts every replay engine; streams only run
     columnar chunks, so ``auto`` resolves to ``vector`` here and the
-    scalar engines are rejected downstream by
+    scalar engine is rejected downstream by
     :func:`repro.facade._validate` (exit code 2).
     """
     return "vector" if engine == "auto" else engine
@@ -629,12 +630,12 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=("volume", "size"), default="volume")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--engine",
-                        choices=("auto", "python", "fast", "vector", "native"),
+                        choices=ENGINES,
                         default="auto",
                         help="replay engine (vector = array-native batch "
                              "replay, native = compiled kernels, falls back "
                              "to vector; streaming commands resolve auto to "
-                             "vector and reject the scalar engines)")
+                             "vector and reject the scalar engine)")
     common.add_argument("--store", choices=store_names(), default="dense",
                         help="counter-store backend for the per-flow state "
                              "(pools = lossless compact, morris = lossy "

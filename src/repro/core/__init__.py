@@ -46,7 +46,7 @@ from repro.core.confidence import (
     relative_stddev,
 )
 from repro.core.disco import DiscoCounter, DiscoSketch, counter_bits
-from repro.core.fastpath import FastDiscoSketch, UpdateCache
+from repro.core.fastpath import UpdateCache
 from repro.core.functions import (
     CountingFunction,
     GeometricCountingFunction,
@@ -85,7 +85,6 @@ __all__ = [
     "merge_counters",
     "merge_sketches",
     "merged_estimate",
-    "FastDiscoSketch",
     "UpdateCache",
     "AgingDiscoSketch",
     "age_counter",

@@ -24,8 +24,8 @@ lane count the driver hands each surviving flow to the kernel's scalar
 has two regimes:
 
 * while ``gap(c) = b^c`` can still be jumped over by one packet, the
-  memoized fast path (:class:`~repro.core.fastpath.UpdateCache`) replays
-  full Algorithm-1 decisions;
+  exact decision memo (:class:`~repro.core.fastpath.UpdateCache`)
+  replays full Algorithm-1 decisions;
 * once ``b^c`` exceeds the flow's largest remaining packet, every
   decision is ``delta = 0`` with ``p = l / b^c``, and ``u < l / b^c`` is
   equivalent to ``c < (ln l - ln u) / ln b``.  The kernel precomputes
@@ -40,7 +40,7 @@ contiguous prefix of ``active * R`` lanes, and one shared random stream
 drives every lane — replicas differ only through the randomness they
 consume, exactly as R separately-seeded per-packet replays would.
 
-The replay is **distributionally equivalent** to the scalar engines —
+The replay is **distributionally equivalent** to the scalar engine —
 the same update laws with the same probabilities, hence the same
 estimator moments — but not bit-identical: it consumes a
 ``numpy.random.Generator`` stream column-major instead of a
@@ -114,23 +114,16 @@ def vector_spec(scheme) -> Optional[VectorSpec]:
     lanes the same way :class:`~repro.core.disco.DiscoSketch` does.
     """
     from repro.core.disco import DiscoSketch
-    from repro.core.fastpath import FastDiscoSketch
 
-    function = getattr(scheme, "function", None)
-    if not isinstance(function, GeometricCountingFunction):
+    if type(scheme) is not DiscoSketch:
+        return None  # subclasses (e.g. aging) may hook the update path
+    function = scheme.function
+    if not isinstance(function, GeometricCountingFunction) or len(scheme):
         return None
-    if len(scheme) != 0:
+    if scheme.burst_capacity is not None or scheme.track_variance:
         return None
-    if isinstance(scheme, DiscoSketch):
-        if type(scheme) is not DiscoSketch:
-            return None  # subclasses (e.g. aging) may hook the update path
-        if scheme.burst_capacity is not None or scheme.track_variance:
-            return None
-        return VectorSpec(b=function.b, mode=scheme.mode,
-                          capacity_bits=scheme.capacity_bits)
-    if isinstance(scheme, FastDiscoSketch):
-        return VectorSpec(b=function.b, mode=scheme.mode, capacity_bits=None)
-    return None
+    return VectorSpec(b=function.b, mode=scheme.mode,
+                      capacity_bits=scheme.capacity_bits)
 
 
 @dataclass(frozen=True)
@@ -321,7 +314,7 @@ def run_kernel(
         (:meth:`~repro.core.kernels.SchemeKernel.native_step`) and falls
         back to the columnar loop when the kernel declines or no native
         provider is available (counted as ``batch.native_fallback``).
-        Runner resolution — including any JIT compilation — happens
+        Runner resolution — including the one-off C compile — happens
         under the ``replay.native.warmup`` span *before* the timer
         starts, so compile time never pollutes throughput numbers.
     store:
@@ -370,7 +363,7 @@ def run_kernel(
 
     native_run = None
     if engine == "native":
-        # Resolve (and, for JIT providers, compile) the runner before the
+        # Resolve (and, on first use, compile) the runner before the
         # timer starts: warmup cost lands in its own span, not in
         # ``elapsed_seconds``.
         with tel.span("replay.native.warmup"):

@@ -18,6 +18,7 @@ import math
 import random
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Union
 
+from repro.core.fastpath import UpdateCache
 from repro.core.functions import CountingFunction, GeometricCountingFunction
 from repro.core.update import compute_update
 from repro.errors import CounterOverflowError, ParameterError
@@ -253,7 +254,9 @@ class DiscoSketch:
             raise ParameterError(f"burst_capacity must be > 0, got {burst_capacity!r}")
         self.burst_capacity = burst_capacity
         self._counters: Dict[FlowKey, int] = {}
-        self._update_cache = None
+        # Algorithm 1's decision depends only on (c, l): memoize it
+        # exactly, so trajectories match compute_update bit for bit.
+        self._update_cache = UpdateCache(self.function)
         self._burst_flow: Optional[FlowKey] = None
         self._burst_amount = 0.0
         self.track_variance = track_variance
@@ -295,29 +298,9 @@ class DiscoSketch:
         self._burst_flow = None
         self._burst_amount = 0.0
 
-    def enable_update_cache(self, max_entries: int = 1 << 20):
-        """Memoize Algorithm-1 decisions behind a shared exact cache.
-
-        Installs an :class:`~repro.core.fastpath.UpdateCache` on the update
-        path (the ``engine="fast"`` replay path).  The cache stores exact
-        decisions, so the sketch's trajectory is bit-for-bit unchanged —
-        only the transcendental math is skipped on repeats.  Returns the
-        cache so callers can read its accounting.
-        """
-        from repro.core.fastpath import UpdateCache
-
-        if self._update_cache is None:
-            self._update_cache = UpdateCache(self.function,
-                                             max_entries=max_entries)
-        return self._update_cache
-
     def _drive(self, flow: FlowKey, amount: float) -> None:
         c = self._counters.get(flow, 0)
-        if self._update_cache is not None:
-            delta, probability = self._update_cache.decision(c, amount)
-        else:
-            decision = compute_update(self.function, c, amount)
-            delta, probability = decision.delta, decision.probability
+        delta, probability = self._update_cache.decision(c, amount)
         advance = delta
         if self._rng.random() < probability:
             advance += 1

@@ -1,4 +1,4 @@
-"""Memoized DISCO update path for large pure-Python replays.
+"""Exact memo of DISCO's Algorithm 1 decisions.
 
 `compute_update` costs three transcendental evaluations per packet.  The
 decision ``(delta, p_d)`` depends only on ``(c, l)``, and real traffic
@@ -8,23 +8,22 @@ packets once ``gap(c)`` is large.  Caching decisions therefore removes
 most of the math from full-scale replays while remaining *bit-for-bit*
 the same algorithm (the cache stores exact decisions, not approximations).
 
-:class:`FastDiscoSketch` is a drop-in for
-:class:`~repro.core.disco.DiscoSketch` on the hot replay path; a test
-asserts distributional equivalence and the cache-hit accounting makes the
+:class:`~repro.core.disco.DiscoSketch` always takes its decisions from
+a private :class:`UpdateCache`, and the columnar DISCO kernel's general
+tail phase shares one per ``b``; the cache-hit accounting makes the
 speedup inspectable.
 """
 
 from __future__ import annotations
 
-import random
 import threading
-from typing import Dict, Hashable, Iterable, Tuple, Union
+from typing import Dict, Tuple
 
-from repro.core.functions import CountingFunction, GeometricCountingFunction
+from repro.core.functions import CountingFunction
 from repro.core.update import compute_update
 from repro.errors import ParameterError
 
-__all__ = ["UpdateCache", "FastDiscoSketch"]
+__all__ = ["UpdateCache"]
 
 
 class UpdateCache:
@@ -89,6 +88,16 @@ class UpdateCache:
             self.misses = 0
             self.clears = 0
 
+    def __getstate__(self) -> Dict[str, object]:
+        # Locks do not pickle; a sketch that owns a cache must still copy.
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -104,70 +113,3 @@ class UpdateCache:
             "entries": len(self._cache),
             "max_entries": self.max_entries,
         }
-
-
-class FastDiscoSketch:
-    """Per-flow DISCO statistics with a shared decision cache.
-
-    Same public read-out surface as :class:`~repro.core.disco.DiscoSketch`
-    (``observe`` / ``estimate`` / ``counter_value`` / ``flows`` /
-    ``max_counter_bits``); no burst aggregation or capacity clamping —
-    this class exists for big clean replays.
-    """
-
-    name = "disco-fast"
-
-    def __init__(self, b: float, mode: str = "volume",
-                 rng: Union[None, int, random.Random] = None,
-                 max_cache_entries: int = 1 << 20) -> None:
-        if mode not in ("volume", "size"):
-            raise ParameterError(f"mode must be 'volume' or 'size', got {mode!r}")
-        self.function = GeometricCountingFunction(b)
-        self.mode = mode
-        self._rng = rng if isinstance(rng, random.Random) else random.Random(rng)
-        self.cache = UpdateCache(self.function, max_entries=max_cache_entries)
-        self._counters: Dict[Hashable, int] = {}
-
-    def observe(self, flow: Hashable, length: float = 1.0) -> None:
-        amount = 1.0 if self.mode == "size" else float(length)
-        if not (amount > 0):
-            raise ParameterError(f"packet length must be > 0, got {length!r}")
-        c = self._counters.get(flow, 0)
-        delta, p = self.cache.decision(c, amount)
-        if self._rng.random() < p:
-            delta += 1
-        self._counters[flow] = c + delta
-
-    def observe_many(self, packets: Iterable) -> None:
-        for flow, length in packets:
-            self.observe(flow, length)
-
-    @property
-    def cache_stats(self) -> Dict[str, float]:
-        """The shared decision cache's accounting (see ``UpdateCache.stats``)."""
-        return self.cache.stats()
-
-    def counter_value(self, flow: Hashable) -> int:
-        return self._counters.get(flow, 0)
-
-    def estimate(self, flow: Hashable) -> float:
-        return self.function.value(self._counters.get(flow, 0))
-
-    def estimates(self) -> Dict[Hashable, float]:
-        return {f: self.function.value(c) for f, c in self._counters.items()}
-
-    def flows(self):
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def max_counter_bits(self) -> int:
-        largest = max(self._counters.values(), default=0)
-        return max(1, largest.bit_length())
-
-    def kernel(self):
-        """Columnar-kernel offer (see :mod:`repro.core.kernels`)."""
-        from repro.core.kernels import disco_kernel_spec
-
-        return disco_kernel_spec(self)

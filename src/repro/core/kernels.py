@@ -556,7 +556,6 @@ def disco_kernel_spec(scheme) -> Optional[KernelSpec]:
 
 
 _register("disco", "plain fresh sketch, geometric function")
-_register("disco-fast", "plain fresh sketch, geometric function")
 
 
 # ---------------------------------------------------------------------------

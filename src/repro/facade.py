@@ -18,7 +18,7 @@ matter which door the configuration came through.
 Seeding
 -------
 One ``rng`` argument seeds *everything* a replay randomises, via
-:func:`seed_streams`: the arrival shuffle (scalar engines) and the NumPy
+:func:`seed_streams`: the arrival shuffle (scalar engine) and the NumPy
 update stream (vector engine) are both derived from it, so the same seed
 gives the same estimates on every engine *for that engine* — the fix for
 the old split where ``replay(rng=...)`` seeded only the shuffle and the
@@ -166,7 +166,7 @@ class ReplayStreams:
 
     @property
     def shuffle(self) -> Union[None, int, random.Random]:
-        """Seed for the arrival-order shuffle (scalar engines)."""
+        """Seed for the arrival-order shuffle (scalar engine)."""
         raw = self.raw
         if raw is None or isinstance(raw, (int, random.Random)):
             return raw
@@ -336,7 +336,7 @@ def replay(
     """Replay ``trace`` through ``scheme`` and score the estimates.
 
     The single replay entrypoint: selects an engine
-    (``auto``/``python``/``fast``/``vector``/``native`` — see
+    (``auto``/``python``/``vector``/``native`` — see
     :mod:`repro.harness.runner` for the contract), derives every random
     stream from ``rng`` via :func:`seed_streams`, and returns one
     :class:`~repro.harness.runner.RunResult` — or a list of ``replicas``
@@ -393,8 +393,7 @@ def replay(
                                 store=compact_store)
     else:
         result = _replay_scalar(scheme, trace, order=order,
-                                rng=streams.shuffle, engine=resolved,
-                                telemetry=tel)
+                                rng=streams.shuffle, telemetry=tel)
     if tel.enabled:
         _count_scheme_events(tel, scheme, before)
         snap = tel.snapshot()

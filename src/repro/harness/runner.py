@@ -1,21 +1,19 @@
 """Replay driver: push a trace through a counting scheme and score it.
 
-Four engines drive the same replay contract:
+Three engines drive the same replay contract, and ``"auto"`` picks one:
 
 ``"python"``
     The reference per-packet ``observe()`` loop.  Works for every scheme.
-``"fast"``
-    The same loop with Algorithm-1 decisions memoized behind an exact
-    :class:`~repro.core.fastpath.UpdateCache` — bit-for-bit identical
-    trajectories, only the transcendental math is skipped.  DISCO
-    sketches only.
+    DISCO sketches take their Algorithm-1 decisions from an exact
+    :class:`~repro.core.fastpath.UpdateCache`, so the loop skips the
+    transcendental math on repeats without changing a trajectory.
 ``"vector"``
     The array-native engine (:mod:`repro.core.batchreplay`): the trace is
     compiled to struct-of-arrays form once and all flows advance in
     lockstep NumPy column steps, driven through the scheme's columnar
     kernel (:mod:`repro.core.kernels` — DISCO, SAC, the ANLS family, SD
     and exact counters all expose one).  Distributionally equivalent to
-    the scalar engines (same update law, hence the same estimator
+    the scalar engine (same update law, hence the same estimator
     moments) but in general *not* bit-identical: it consumes a NumPy
     random stream column-major.  Fresh schemes only; arrival ``order``
     is ignored because per-flow counters are order-independent across
@@ -24,18 +22,18 @@ Four engines drive the same replay contract:
     The vector engine's law with its per-kernel inner loops lowered to
     compiled code (:mod:`repro.core.native`): the same CSR-compiled
     trace arrays and, where the kernel pre-draws explicit uniforms, the
-    same random stream, consumed by gcc/ctypes (or Numba) machine code.
+    same random stream, consumed by gcc-compiled machine code.
     Bit-identical to ``"vector"`` for exact counters and the ANLS
     family's uniform-stream kernels; distributionally equivalent
     elsewhere.  Falls back to ``"vector"`` with a one-time warning when
     no native provider is available (or ``REPRO_DISABLE_NATIVE=1``).
 ``"auto"``
-    ``"fast"`` when the scheme supports the exact cache, else — for
-    schemes whose kernel is provably *bit-identical* to the reference
-    loop (deterministic kernels such as exact counters) — ``"native"``
-    when the capability probe succeeds, degrading to ``"vector"``, else
-    ``"python"``.  Randomised kernels are never picked silently, so
-    seeded results stay reproducible unless a caller opts in.
+    For schemes whose kernel is provably *bit-identical* to the
+    reference loop (deterministic kernels such as exact counters),
+    ``"native"`` when the capability probe succeeds, degrading to
+    ``"vector"``; else ``"python"``.  Randomised kernels are never
+    picked silently, so seeded results stay reproducible unless a caller
+    opts in.
 
 The documented entrypoint for all of this is the :func:`repro.replay`
 facade; this module holds the engine implementations, the strict
@@ -69,7 +67,7 @@ __all__ = ["RunResult", "replay_replicas", "replay_stream",
            "resolve_engine", "ENGINES"]
 
 #: Valid values of the ``engine`` parameter.
-ENGINES = ("auto", "python", "fast", "vector", "native")
+ENGINES = ("auto", "python", "vector", "native")
 
 AnyTrace = Union[Trace, CompiledTrace]
 
@@ -122,33 +120,24 @@ def resolve_engine(engine: str, scheme) -> str:
     """Map an ``engine`` request to the concrete engine used for ``scheme``.
 
     ``"auto"`` degrades gracefully; explicit requests are strict — asking
-    for ``"fast"`` or ``"vector"`` with an unsupported scheme raises, so
+    for ``"vector"`` or ``"native"`` with an unsupported scheme raises, so
     a benchmark never silently times the wrong path.  The scheme list in
     the ``"vector"`` error is sorted, so the message is deterministic.
     """
     from repro.core import native
-    from repro.core.disco import DiscoSketch
-    from repro.core.fastpath import FastDiscoSketch
     from repro.core.kernels import kernel_scheme_names, kernel_spec
 
     if engine not in ENGINES:
         raise ParameterError(
             f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
         )
-    cacheable = isinstance(scheme, (DiscoSketch, FastDiscoSketch))
     if engine == "auto":
-        if cacheable:
-            return "fast"
         spec = kernel_spec(scheme)
         if spec is not None and spec.bit_identical:
             # Same trajectories either way (bit-identical kernels), so
             # auto may take the compiled path when the probe passes.
             return "native" if native.available() else "vector"
         return "python"
-    if engine == "fast" and not cacheable:
-        raise ParameterError(
-            f"engine='fast' needs a DISCO sketch, got {type(scheme).__name__}"
-        )
     if engine in ("vector", "native") and kernel_spec(scheme) is None:
         raise ParameterError(
             f"engine={engine!r} needs a fresh scheme with a columnar kernel; "
@@ -169,19 +158,15 @@ def _replay_scalar(
     trace: AnyTrace,
     order: str,
     rng: Union[None, int, random.Random],
-    engine: str,
     telemetry: obs.Telemetry,
 ) -> RunResult:
-    """The per-packet engines (``python``/``fast``); ``engine`` is resolved.
+    """The per-packet ``python`` engine.
 
     The scheme's ``mode`` attribute picks the matching ground truth
     (packets for ``"size"``, bytes for ``"volume"``).  Wall-clock time
     covers only the per-packet update loop — the quantity Table IV
     compares.
     """
-    if engine == "fast" and hasattr(scheme, "enable_update_cache"):
-        scheme.enable_update_cache()
-
     if order == "shuffled":
         # Materialised up front so shuffle cost stays out of the timing.
         telemetry.count("replay.order.shuffled")
@@ -219,7 +204,7 @@ def _replay_scalar(
         max_counter_bits=scheme.max_counter_bits(),
         elapsed_seconds=elapsed,
         packets=count if count is not None else n,
-        engine=engine,
+        engine="python",
     )
 
 

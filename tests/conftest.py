@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.core.functions import GeometricCountingFunction
+from repro.core.update import compute_update
 from repro.traces.trace import Trace
 
 
@@ -35,3 +37,26 @@ def small_trace():
         count = rand.randint(1, 120)
         flows[f"f{i}"] = [rand.randint(40, 1500) for _ in range(count)]
     return Trace(flows, name="small")
+
+
+@pytest.fixture
+def disco_reference():
+    """Un-memoized DISCO: ``run(b, mode, seed, packets) -> counters``.
+
+    Algorithm 1 computed afresh per packet with the same ``random.Random``
+    draws a seeded ``DiscoSketch`` takes — the reference its exact
+    decision memo must reproduce bit for bit.
+    """
+    def run(b, mode, seed, packets):
+        fn = GeometricCountingFunction(b)
+        rand = random.Random(seed)
+        counters = {}
+        for flow, length in packets:
+            amount = 1.0 if mode == "size" else float(length)
+            c = counters.get(flow, 0)
+            decision = compute_update(fn, c, amount)
+            counters[flow] = c + decision.delta \
+                + (rand.random() < decision.probability)
+        return counters
+
+    return run

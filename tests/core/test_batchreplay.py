@@ -20,7 +20,6 @@ from repro.core.batchreplay import (
     vector_spec,
 )
 from repro.core.disco import DiscoSketch
-from repro.core.fastpath import FastDiscoSketch
 from repro.core.fastsim import simulate_uniform_stream
 from repro.core.functions import GeometricCountingFunction, LinearCountingFunction
 from repro.core.kernels import DiscoKernel
@@ -243,9 +242,6 @@ class TestVectorSpec:
     def test_capacity_bits_carried(self):
         spec = vector_spec(DiscoSketch(b=1.05, capacity_bits=10))
         assert spec.capacity_bits == 10
-
-    def test_fast_sketch_eligible(self):
-        assert vector_spec(FastDiscoSketch(b=1.05)) is not None
 
     def test_burst_aggregation_ineligible(self):
         assert vector_spec(DiscoSketch(b=1.05, burst_capacity=4096)) is None

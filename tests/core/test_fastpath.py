@@ -1,14 +1,14 @@
-"""Tests for the memoized DISCO fast path."""
+"""Tests for the exact Algorithm-1 decision memo and its use in DiscoSketch."""
 
+import pickle
 import random
-import statistics
 import threading
 import time
 
 import pytest
 
 from repro.core.disco import DiscoSketch
-from repro.core.fastpath import FastDiscoSketch, UpdateCache
+from repro.core.fastpath import UpdateCache
 from repro.core.functions import GeometricCountingFunction
 from repro.core.update import compute_update
 from repro.errors import ParameterError
@@ -153,75 +153,84 @@ class TestUpdateCacheConcurrency:
         assert len({id(cache) for cache in got}) == 1
 
 
-class TestFastDiscoSketch:
-    def test_mode_validation(self):
-        with pytest.raises(ParameterError):
-            FastDiscoSketch(b=1.1, mode="bytes")
-
-    def test_rejects_bad_length(self):
-        sketch = FastDiscoSketch(b=1.1)
-        with pytest.raises(ParameterError):
-            sketch.observe("f", 0)
-
-    def test_identical_trajectory_to_reference(self):
-        # Same seed, same packets: the cached path must take the exact
-        # same random decisions as DiscoSketch.
+class TestDiscoSketchMemo:
+    def test_identical_trajectory_to_reference(self, disco_reference):
+        # Same seed, same packets: the memoized sketch must take the
+        # exact same random decisions as the un-memoized algorithm.
         rand = random.Random(3)
         packets = [(rand.randrange(6), rand.choice([40, 576, 1500]))
                    for _ in range(3000)]
-        reference = DiscoSketch(b=1.02, mode="volume", rng=9)
-        fast = FastDiscoSketch(b=1.02, mode="volume", rng=9)
+        sketch = DiscoSketch(b=1.02, mode="volume", rng=9)
+        sketch.observe_many(packets)
+        assert sketch._counters == disco_reference(1.02, "volume", 9,
+                                                   packets)
+
+    def test_variance_tracking_matches_reference(self):
+        # track_variance reads (delta, p) from the memo too.
+        rand = random.Random(11)
+        packets = [(rand.randrange(3), rand.choice([40, 1500]))
+                   for _ in range(2000)]
+        sketch = DiscoSketch(b=1.02, rng=2, track_variance=True)
+        sketch.observe_many(packets)
+        fn = sketch.function
+        counters = {}
+        variances = {}
+        draws = random.Random(2)
         for flow, length in packets:
-            reference.observe(flow, length)
-            fast.observe(flow, length)
-        for flow in range(6):
-            assert fast.counter_value(flow) == reference.counter_value(flow)
+            c = counters.get(flow, 0)
+            decision = compute_update(fn, c, float(length))
+            p = decision.probability
+            step = fn.gap(c + decision.delta)
+            variances[flow] = variances.get(flow, 0.0) \
+                + p * (1.0 - p) * step * step
+            counters[flow] = c + decision.delta + (draws.random() < p)
+        assert sketch._counters == counters
+        for flow, variance in variances.items():
+            assert sketch.variance_of(flow) == variance
 
     def test_high_hit_rate_on_realistic_lengths(self):
         rand = random.Random(4)
-        sketch = FastDiscoSketch(b=1.01, mode="volume", rng=5)
+        sketch = DiscoSketch(b=1.01, mode="volume", rng=5)
         for _ in range(20_000):
             sketch.observe(rand.randrange(4), rand.choice([40, 576, 1500]))
-        assert sketch.cache.hit_rate > 0.8
+        assert sketch._update_cache.hit_rate > 0.8
 
     def test_size_mode_hit_rate_near_one(self):
-        sketch = FastDiscoSketch(b=1.02, mode="size", rng=6)
+        sketch = DiscoSketch(b=1.02, mode="size", rng=6)
         for _ in range(5000):
             sketch.observe("f", 1234)
         # l is always 1: one miss per distinct counter value only.
-        assert sketch.cache.hit_rate > 0.9
+        assert sketch._update_cache.hit_rate > 0.9
 
-    def test_faster_than_reference_on_cached_workload(self):
+    def test_faster_than_reference_on_cached_workload(self, disco_reference):
         rand = random.Random(7)
         packets = [("f", rand.choice([40, 1500])) for _ in range(30_000)]
 
-        fast = FastDiscoSketch(b=1.002, mode="volume", rng=8)
+        sketch = DiscoSketch(b=1.002, mode="volume", rng=8)
         start = time.perf_counter()
-        fast.observe_many(packets)
-        fast_time = time.perf_counter() - start
+        sketch.observe_many(packets)
+        memo_time = time.perf_counter() - start
 
-        reference = DiscoSketch(b=1.002, mode="volume", rng=8)
         start = time.perf_counter()
-        reference.observe_many(packets)
+        reference = disco_reference(1.002, "volume", 8, packets)
         reference_time = time.perf_counter() - start
 
-        assert fast_time < reference_time
-
-    def test_readout_surface(self):
-        sketch = FastDiscoSketch(b=1.05, rng=0)
-        sketch.observe_many([("a", 100), ("b", 1000)])
-        assert len(sketch) == 2
-        assert set(sketch.flows()) == {"a", "b"}
-        assert sketch.estimate("a") > 0
-        assert sketch.estimates()["b"] == sketch.estimate("b")
-        assert sketch.max_counter_bits() >= 1
-        assert sketch.counter_value("zzz") == 0
+        assert sketch._counters == reference
+        assert memo_time < reference_time
 
     def test_cache_stats_surface(self):
-        sketch = FastDiscoSketch(b=1.05, rng=0)
+        sketch = DiscoSketch(b=1.05, rng=0)
         sketch.observe_many([("a", 100)] * 50)
-        stats = sketch.cache_stats
-        assert stats == sketch.cache.stats()
+        stats = sketch._update_cache.stats()
         assert stats["hits"] + stats["misses"] == 50
         assert stats["clears"] == 0
         assert 0.0 <= stats["hit_rate"] <= 1.0
+
+    def test_sketch_with_memo_pickles(self):
+        sketch = DiscoSketch(b=1.05, rng=0)
+        sketch.observe_many([("a", 100)] * 50)
+        clone = pickle.loads(pickle.dumps(sketch))
+        clone.observe("a", 100)
+        sketch.observe("a", 100)
+        assert clone._counters == sketch._counters
+        assert clone._update_cache.stats() == sketch._update_cache.stats()

@@ -1,4 +1,4 @@
-"""Scale smoke tests: a million packets through the fast path.
+"""Scale smoke tests: a million packets through the memoized scalar path.
 
 Not a benchmark — a guard that the library's full-scale story (DESIGN.md
 offers paper-scale runs as "a parameter change") keeps working: a
@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.core.analysis import choose_b, cov_bound
-from repro.core.fastpath import FastDiscoSketch
+from repro.core.disco import DiscoSketch
 from repro.traces.zipf import ZipfPopularity
 
 
@@ -24,7 +24,7 @@ def test_million_packet_replay():
     rand = random.Random(2)
     popularity = ZipfPopularity(2000, alpha=1.0)
     b = choose_b(14, num_packets * 1500, slack=1.5)
-    sketch = FastDiscoSketch(b=b, mode="volume", rng=1)
+    sketch = DiscoSketch(b=b, mode="volume", rng=1)
     truth = {}
     start = time.perf_counter()
     for _ in range(num_packets):
@@ -34,7 +34,7 @@ def test_million_packet_replay():
         truth[flow] = truth.get(flow, 0) + length
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0  # generous; typically a few seconds
-    assert sketch.cache.hit_rate > 0.7
+    assert sketch._update_cache.hit_rate > 0.7
 
     errors = [abs(sketch.estimate(f) - n) / n for f, n in truth.items()
               if n > 10_000]

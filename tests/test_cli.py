@@ -143,6 +143,19 @@ class TestFlagParity:
                      "telemetry"):
             assert hasattr(args, flag), f"{command} missing --{flag}"
 
+    @pytest.mark.parametrize("command", ["replay", "stream", "serve", "faults"])
+    def test_engine_choices_are_the_runner_engines(self, command):
+        from repro.harness.runner import ENGINES
+
+        parser = build_parser()
+        sub = next(
+            action for action in parser._actions
+            if hasattr(action, "choices") and command in (action.choices or {})
+        ).choices[command]
+        engine = next(action for action in sub._actions
+                      if "--engine" in action.option_strings)
+        assert tuple(engine.choices) == ENGINES
+
     def test_serve_bad_engine_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", "--feed", "generator",

@@ -38,7 +38,7 @@ def _sketch(seed=1):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("engine", ["python", "fast", "vector", "auto"])
+    @pytest.mark.parametrize("engine", ["python", "vector", "auto"])
     def test_same_seed_same_estimates_every_engine(self, trace, engine):
         a = replay(_sketch(), trace, rng=9, engine=engine)
         b = replay(_sketch(), trace, rng=9, engine=engine)
@@ -137,10 +137,10 @@ class TestTelemetryIntegration:
 
     def test_session_records_and_result_carries_snapshot(self, trace):
         tel = Telemetry()
-        result = replay(_sketch(), trace, rng=1, engine="fast", telemetry=tel)
+        result = replay(_sketch(), trace, rng=1, telemetry=tel)
         counters = tel.snapshot()["counters"]
         assert counters["replay.calls"] == 1
-        assert counters["replay.engine.fast"] == 1
+        assert counters["replay.engine.python"] == 1
         assert counters["replay.order.shuffled"] == 1
         assert result.telemetry["counters"] == counters
         assert "replay.update" in tel.snapshot()["timers"]

@@ -120,7 +120,7 @@ EXPECTED_ALL = {
     ],
     "repro.core": [
         "AgingDiscoSketch", "BatchReplayResult", "ConfidenceInterval",
-        "CountingFunction", "DiscoCounter", "DiscoSketch", "FastDiscoSketch",
+        "CountingFunction", "DiscoCounter", "DiscoSketch",
         "GeometricCountingFunction", "HybridCountingFunction", "KernelSpec",
         "LinearCountingFunction", "ReplicaReplayResult", "SchemeKernel",
         "UpdateCache", "UpdateDecision", "VectorSpec", "age_counter",
