@@ -153,6 +153,32 @@ class TestUpdateCacheConcurrency:
         assert len({id(cache) for cache in got}) == 1
 
 
+class TestFastDiscoSketch:
+    """The memoized DiscoSketch keeps the surface of the old fast sketch."""
+
+    def test_mode_validation(self):
+        with pytest.raises(ParameterError):
+            DiscoSketch(b=1.1, mode="bytes")
+
+    def test_rejects_bad_length(self):
+        sketch = DiscoSketch(b=1.1)
+        with pytest.raises(ParameterError):
+            sketch.observe("f", 0)
+        # A rejected packet never reaches the memo or the counters.
+        assert sketch._update_cache.stats()["misses"] == 0
+        assert len(sketch) == 0
+
+    def test_readout_surface(self):
+        sketch = DiscoSketch(b=1.05, rng=0)
+        sketch.observe_many([("a", 100), ("b", 1000)])
+        assert len(sketch) == 2
+        assert set(sketch.flows()) == {"a", "b"}
+        assert sketch.estimate("a") > 0
+        assert sketch.estimates()["b"] == sketch.estimate("b")
+        assert sketch.max_counter_bits() >= 1
+        assert sketch.counter_value("zzz") == 0
+
+
 class TestDiscoSketchMemo:
     def test_identical_trajectory_to_reference(self, disco_reference):
         # Same seed, same packets: the memoized sketch must take the
