@@ -38,7 +38,12 @@ and
    chunk-only :data:`BIG_RSS_FLOWS`-flow big workload end-to-end in a
    subprocess, failing if the child's peak RSS exceeds
    :data:`BIG_RSS_LIMIT_MB` — the BigTrace memory contract, measured
-   for real.
+   for real,
+8. (full runs only) streams the :data:`BIG_RSS_FLOWS`-flow big workload
+   at :data:`CHUNK_RATIO_LARGE`- and :data:`CHUNK_RATIO_SMALL`-packet
+   chunks and fails if the large-chunk pps exceeds the small-chunk pps
+   by more than :data:`STREAM_CHUNK_CEILING` — a chunk must cost what
+   its packets cost, not what the epoch's flows cost.
 
 Every run — including ``--no-history`` and ``--update-baseline`` runs —
 also re-prunes ``BENCH_perf.json`` to :data:`HISTORY_LIMIT` entries
@@ -142,6 +147,17 @@ BIG_RSS_FLOWS = 100_000
 #: structural regression (a full materialisation creeping into the
 #: streaming path) can trip it, never allocator noise.
 BIG_RSS_LIMIT_MB = 200.0
+#: Chunk sizes (packets) of ``perf_stream_chunk_ratio``: best-of-3
+#: big-workload stream pps at the large size over best-of-3 at the small.
+CHUNK_RATIO_LARGE = 400_000
+CHUNK_RATIO_SMALL = 25_000
+#: Absolute ceiling on ``perf_stream_chunk_ratio``.  Structural like
+#: :data:`STREAM_FLOOR`, never baseline-ratcheted: a stream whose
+#: per-chunk work is O(packets in the chunk) pays only fixed per-chunk
+#: costs for smaller chunks, while one that re-walks every flow seen
+#: this epoch on each chunk slows down in proportion to the chunk count
+#: (2.2x on this workload before the lane-aligned shard state).
+STREAM_CHUNK_CEILING = 1.5
 #: BENCH_perf.json keeps at most this many trajectory entries.
 HISTORY_LIMIT = 50
 #: Maximum tolerated telemetry cost: enabled vs disabled vector replay.
@@ -563,6 +579,40 @@ def measure_big_rss(flows: int = BIG_RSS_FLOWS) -> Dict[str, float]:
     }
 
 
+def measure_stream_chunk_ratio(flows: int = BIG_RSS_FLOWS,
+                               repeats: int = REPEATS) -> Dict[str, float]:
+    """Big-workload stream pps at large over small chunks.
+
+    Streams a chunk-only :func:`repro.traces.big_trace` of ``flows``
+    flows through ``stream()`` (2 shards, native chunks, four epochs)
+    at :data:`CHUNK_RATIO_LARGE`- and :data:`CHUNK_RATIO_SMALL`-packet
+    chunks.  The two sizes alternate run by run so a change in machine
+    load hits both alike; each size keeps its best of ``repeats`` runs.
+    Returns ``perf_stream_chunk_ratio`` (gated by
+    :data:`STREAM_CHUNK_CEILING`) and both throughputs (history only).
+    """
+    from repro.facade import stream
+    from repro.schemes import scheme_factory
+    from repro.traces import make_trace
+
+    big = make_trace("big", num_flows=flows, seed=1)
+    factory = scheme_factory("disco", b=DISCO_B, seed=0)
+    best = {CHUNK_RATIO_LARGE: 0.0, CHUNK_RATIO_SMALL: 0.0}
+    for _ in range(repeats):
+        for chunk in best:
+            result = stream(factory, big, shards=2, chunk_packets=chunk,
+                            epoch_packets=big.num_packets // 4 or 1,
+                            engine="native", rng=1)
+            best[chunk] = max(best[chunk],
+                              result.packets / result.elapsed_seconds)
+    return {
+        "perf_stream_chunk_large_pps": best[CHUNK_RATIO_LARGE],
+        "perf_stream_chunk_small_pps": best[CHUNK_RATIO_SMALL],
+        "perf_stream_chunk_ratio": (best[CHUNK_RATIO_LARGE]
+                                    / best[CHUNK_RATIO_SMALL]),
+    }
+
+
 def measure_serve(queries: int = 200) -> Dict[str, float]:
     """Median query latency against a live in-process serve daemon.
 
@@ -766,6 +816,17 @@ def main(argv=None) -> int:
           f"peak RSS {big_rss_mb:.0f} MB "
           f"(ceiling {BIG_RSS_LIMIT_MB:.0f} MB)")
 
+    chunk_ratio = None
+    if not args.quick:
+        metrics.update(measure_stream_chunk_ratio())
+        chunk_ratio = metrics["perf_stream_chunk_ratio"]
+        print(f"big-workload stream by chunk size: "
+              f"{metrics['perf_stream_chunk_large_pps'] / 1e6:6.2f} Mpps at "
+              f"{CHUNK_RATIO_LARGE // 1000}k packets, "
+              f"{metrics['perf_stream_chunk_small_pps'] / 1e6:6.2f} Mpps at "
+              f"{CHUNK_RATIO_SMALL // 1000}k ({chunk_ratio:.2f}x; "
+              f"ceiling {STREAM_CHUNK_CEILING:.2f}x)")
+
     metrics.update(measure_memory_metrics(quick=args.quick))
     print(f"counter-store footprint (DISCO, "
           f"{int(metrics['perf_mem_flows'])} flows, measured export_state "
@@ -868,6 +929,14 @@ def main(argv=None) -> int:
               f"must stay bounded by one segment, not the whole trace",
               file=sys.stderr)
         return 1
+    if chunk_ratio is not None and chunk_ratio > STREAM_CHUNK_CEILING:
+        print(f"PERF GATE FAILED: big-workload stream ran "
+              f"{chunk_ratio:.2f}x faster at {CHUNK_RATIO_LARGE}-packet "
+              f"chunks than at {CHUNK_RATIO_SMALL}-packet chunks, over "
+              f"the {STREAM_CHUNK_CEILING:.2f}x ceiling — per-chunk work "
+              f"is growing with the flows seen, not the packets",
+              file=sys.stderr)
+        return 1
     gated = [k for k in GATE_KEYS if k in metrics]
     summary = ", ".join(
         f"{k.removeprefix('perf_').removesuffix('_speedup')} "
@@ -881,7 +950,9 @@ def main(argv=None) -> int:
           f"stream {stream_ratio:.2f}x; "
           f"mem pools {metrics['perf_mem_pools_vs_dense']:.2f}x / "
           f"morris {metrics['perf_mem_morris_vs_dense']:.2f}x dense; "
-          f"big RSS {big_rss_mb:.0f} MB)")
+          f"big RSS {big_rss_mb:.0f} MB"
+          + (f"; chunk ratio {chunk_ratio:.2f}x" if chunk_ratio else "")
+          + ")")
     return 0
 
 

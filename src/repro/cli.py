@@ -332,12 +332,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import build_daemon, make_feed
 
     factory_params = dict(bits=args.bits, mode=args.mode, seed=args.seed)
+    if args.max_length is not None:
+        factory_params["max_length"] = args.max_length
     if args.feed == "trace":
         if args.trace is None:
             raise ParameterError("serve --feed trace needs --trace")
         trace = resolve_trace(args.trace)
         truths = trace.true_totals(args.mode)
-        factory_params["max_length"] = max(truths.values())
+        factory_params.setdefault("max_length", max(truths.values()))
         feed = make_feed("trace", trace=trace)
     elif args.feed == "generator":
         spec = args.trace if args.trace is not None \
@@ -348,14 +350,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"--trace {spec!r} is a chunk-only workload; feed it "
                 f"through `repro stream` instead")
         truths = trace.true_totals(args.mode)
-        factory_params["max_length"] = max(truths.values())
+        factory_params.setdefault("max_length", max(truths.values()))
         feed = make_feed("generator",
                          pairs=trace.packet_pairs(order="shuffled",
                                                   rng=args.seed))
     else:  # socket
         feed = make_feed("socket", host=args.ingest_host,
                          port=args.ingest_port)
-    factory = scheme_factory(args.scheme, **factory_params)
+    try:
+        factory = scheme_factory(args.scheme, **factory_params)
+    except ParameterError as exc:
+        # The socket feed has no trace to size the counters from.
+        if "max_length" in factory_params or "max_length=" not in str(exc):
+            raise
+        raise ParameterError(
+            f"serve --feed socket --scheme {args.scheme} needs "
+            f"--max-length (the largest expected per-flow "
+            f"{'packet count' if args.mode == 'size' else 'byte volume'})"
+            f" to size its counters") from None
 
     plan = _faults.resolve_plan(args.faults)
     daemon = build_daemon(
@@ -721,6 +733,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resume from --checkpoint if it exists")
     p.add_argument("--pace", type=float, default=0.0,
                    help="seconds slept between ingested chunks")
+    p.add_argument("--max-length", type=float, default=None,
+                   help="largest expected per-flow total (bytes, or packets "
+                        "with --mode size) used to size the counters; "
+                        "--feed socket needs it for schemes sized from it; "
+                        "the trace and generator feeds derive it when "
+                        "omitted")
     p.add_argument("--faults", default=None,
                    help="fault plan to arm for the daemon's lifetime "
                         "(also honours REPRO_FAULTS)")

@@ -108,7 +108,9 @@ class KernelState:
     per-lane (SAC's per-replica ``r``, SD's DRAM-slot carry).  A state
     is loaded into a *fresh* kernel by key, so the receiving replay may
     order or extend the flow set differently — unseen keys start from
-    zeroed lanes.
+    zeroed lanes.  A stream shard's carried state is lane-aligned: its
+    ``index`` is the shard's ``key -> lane`` map and ``arrays`` view the
+    first lanes of its column buffers.
 
     When exported through a compact counter store
     (:meth:`SchemeKernel.export_state` with ``store=``), the lane
@@ -174,6 +176,13 @@ class SchemeKernel(abc.ABC):
     #: chunk replays.  Kernels with state the snapshot cannot capture
     #: (none in-tree) leave this False and are rejected by ``stream()``.
     resumable: bool = False
+    #: Whether a lane's update reads and writes only that lane's own
+    #: state (and draws nothing for lanes without packets), so a resumed
+    #: replay may be handed just the lanes a chunk touches.  Kernels with
+    #: cross-lane state — SAC's global renormalisation, ICE's bucket
+    #: scales, SD's shared DRAM flush slots — leave this False and are
+    #: stepped over every lane their stream has seen.
+    lane_local: bool = False
     #: Active-prefix width (in lanes) below which the scalar tail beats a
     #: NumPy column step.  DISCO's 128 is tuned for its dwell-regime tail;
     #: plain arithmetic kernels break even far narrower.
@@ -423,6 +432,7 @@ class DiscoKernel(SchemeKernel):
     supports_tail = True
     preferred_min_lanes = 128
     resumable = True
+    lane_local = True
 
     def __init__(self, lanes: int, gen: np.random.Generator, replicas: int,
                  b: float, capacity_bits: Optional[int] = None) -> None:
@@ -816,6 +826,7 @@ class AnlsKernel(SchemeKernel):
     supports_tail = True
     preferred_min_lanes = 8
     resumable = True
+    lane_local = True
 
     def __init__(self, lanes: int, gen: np.random.Generator, replicas: int,
                  b: float) -> None:
@@ -1169,6 +1180,7 @@ class ExactKernel(SchemeKernel):
     supports_tail = True
     preferred_min_lanes = 4
     resumable = True
+    lane_local = True
 
     def __init__(self, lanes: int, gen: np.random.Generator,
                  replicas: int) -> None:
@@ -1244,6 +1256,7 @@ class AeeKernel(SchemeKernel):
     supports_tail = True
     preferred_min_lanes = 8
     resumable = True
+    lane_local = True
 
     def __init__(self, lanes: int, gen: np.random.Generator, replicas: int,
                  p: float, total_bits: int) -> None:

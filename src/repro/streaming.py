@@ -12,12 +12,21 @@ reproduces that shape on top of the columnar kernel stack:
   ``(flow, length)`` iterable — so traces never need to fit one replay
   call.
 * The flow space is partitioned across ``S`` shards by
-  :func:`repro.flows.hashing.stable_hash`; each chunk drives every
-  touched shard through one columnar
+  :func:`repro.flows.hashing.stable_hash` (one shard skips the hash);
+  each chunk drives every touched shard through one columnar
   :func:`~repro.core.batchreplay.run_kernel` pass, carrying per-flow
   kernel state between chunks via
   :meth:`~repro.core.kernels.SchemeKernel.export_state` /
   ``load_state`` (the ``resume=`` hook).
+* Each shard's carried state is *lane-aligned*: its ``key -> lane`` map
+  (first-seen order within the epoch) is the state's ``index`` and the
+  dense columns are capacity-doubling lane buffers.  A chunk gathers
+  the lanes it steps into the replay's resume state and scatters the
+  exported rows back by lane.  Lane-local kernels
+  (:attr:`~repro.core.kernels.SchemeKernel.lane_local`: DISCO, ANLS,
+  exact, AEE) step only the lanes the chunk touches, so a chunk costs
+  O(touched lanes); SAC, ICE and SD reach across lanes and step every
+  lane seen this epoch, O(seen lanes).
 * Shard-chunk replays run serially or over the persistent process pool
   (:func:`repro.harness.parallel.run_tasks`).  Each replay's random
   stream is a pure ``SeedSequence`` child keyed by
@@ -250,24 +259,22 @@ class _ShardChunkTask:
     trace: CompiledTrace
     mode: str
     rng: np.random.SeedSequence
+    #: The carried lanes of ``trace``'s keys, gathered by the session
+    #: from the shard's lane-aligned state (keys new this chunk absent).
     state: Optional[KernelState]
     telemetry: bool
     #: Columnar backend for this chunk ("vector" or "native"); defaulted
     #: so checkpoints and pickles from older sessions keep loading.
     engine: str = "vector"
-    #: Counter-store backend the carried-out state is encoded in
-    #: (``None`` = dense); defaulted for the same pickle compatibility.
-    store: Optional[str] = None
 
 
 def _run_shard_chunk(task: _ShardChunkTask):
     """Replay one shard-chunk, returning its carried-out kernel state.
 
-    The replay itself always runs on dense columns (the scratch view —
-    carried compact state was decoded by ``load_state``); only the
-    carry-*out* between chunks is re-encoded through the task's counter
-    store, so compact backends pay encode/decode once per chunk
-    boundary, never per packet.
+    The replay runs on dense columns and exports dense rows in the
+    trace's row order; the session scatters them back into the shard's
+    lane-aligned state (and re-encodes compact stores there, once per
+    chunk boundary).
     """
     tel = obs.Telemetry() if task.telemetry else None
     scheme = task.scheme_factory()
@@ -279,9 +286,48 @@ def _run_shard_chunk(task: _ShardChunkTask):
     result = run_kernel(task.trace, spec.factory, mode=task.mode,
                         rng=task.rng, telemetry=tel, resume=task.state,
                         engine=task.engine)
-    state = result.kernel.export_state(task.trace.keys,
-                                       store=getattr(task, "store", None))
+    state = result.kernel.export_state(task.trace.keys)
     return task.shard, state, (tel.snapshot() if tel is not None else None)
+
+
+@dataclass
+class _ShardChunk:
+    """One shard's plan for one chunk: what to replay, where rows go back."""
+
+    trace: CompiledTrace
+    #: Lane of each trace row (rows past the shard's current lane count
+    #: are keys first seen in this chunk).
+    lanes: np.ndarray
+    #: Keys first seen in this chunk, in first-seen order; they get the
+    #: lanes after the shard's current ones when the chunk commits.
+    new_keys: List[Hashable]
+    #: The shard's full lane columns (the dense buffers, or a compact
+    #: store's decode), or ``None`` before the shard's first chunk.
+    columns: Optional[Dict[str, np.ndarray]]
+    #: The carried rows of ``trace`` handed to the replay as ``resume=``.
+    resume: Optional[KernelState]
+
+
+def _lane_positions(lanes: np.ndarray, replicas: int) -> np.ndarray:
+    """Positions of ``lanes``' rows in flow-major lane arrays."""
+    if replicas == 1:
+        return lanes
+    return (lanes[:, None] * replicas + np.arange(replicas)).ravel()
+
+
+def _grow(columns: Dict[str, np.ndarray],
+          width: int) -> Dict[str, np.ndarray]:
+    """``columns`` with room for ``width`` lanes: capacity doubles, new
+    lanes are zero."""
+    grown = {}
+    for name, column in columns.items():
+        if column.size >= width:
+            grown[name] = column
+            continue
+        bigger = np.zeros(max(width, 2 * column.size), dtype=column.dtype)
+        bigger[:column.size] = column
+        grown[name] = bigger
+    return grown
 
 
 def _readout(spec, state: KernelState) -> Tuple[Dict[Hashable, float], int]:
@@ -458,9 +504,16 @@ class StreamSession:
         self._epoch_tel = obs.Telemetry() if self._enabled else obs.NULL_TELEMETRY
         self._total_tel = obs.Telemetry() if self._enabled else obs.NULL_TELEMETRY
 
+        self._lane_local = bool(getattr(probe, "lane_local", False))
         self._shard_of: Dict[Hashable, int] = {}
-        self._keys: List[Dict[Hashable, None]] = [dict() for _ in range(shards)]
+        #: Per shard, ``key -> lane`` in first-seen order; it is also the
+        #: ``index`` of the shard's lane-aligned carried state.
+        self._keys: List[Dict[Hashable, int]] = [dict() for _ in range(shards)]
         self._state: List[Optional[KernelState]] = [None] * shards
+        #: Per shard, the dense state's capacity-doubling lane columns
+        #: (``_state[shard].arrays`` views their first lanes); ``None``
+        #: for compact stores, which keep only the encoded columns.
+        self._buffers: List[Optional[Dict[str, np.ndarray]]] = [None] * shards
         self._truths: List[Dict[Hashable, int]] = [dict() for _ in range(shards)]
 
         self.snapshots: List[EpochSnapshot] = []
@@ -589,48 +642,131 @@ class StreamSession:
     # -- internals -----------------------------------------------------------
 
     def _shard(self, key: Hashable) -> int:
+        if self.shards == 1:
+            return 0
         shard = self._shard_of.get(key)
         if shard is None:
             shard = stable_hash(key) % self.shards
             self._shard_of[key] = shard
         return shard
 
-    def _shard_chunk_trace(self, shard: int,
-                           chunk_flows: Dict[Hashable, np.ndarray],
-                           ) -> CompiledTrace:
-        """Compile one shard's slice of the chunk.
+    def _shard_chunk(self, shard: int,
+                     chunk_flows: Dict[Hashable, np.ndarray]) -> _ShardChunk:
+        """Plan one shard's slice of the chunk: its trace and resume state.
 
-        The trace covers *every* key the shard has seen this epoch —
-        keys absent from the chunk get zero-packet rows — so the
-        carried-out :class:`KernelState` always spans the shard's full
-        epoch key set (SAC's global renormalisation re-encodes every
-        lane; a partial export would decode stale words under a newer
-        scale).
+        The trace covers the lanes the replay must step, in lane order,
+        stable-sorted by chunk packets descending.  A
+        :attr:`~repro.core.kernels.SchemeKernel.lane_local` kernel steps
+        only the lanes the chunk touches, so the work is O(touched
+        lanes).  Any other kernel steps every lane the shard has seen
+        this epoch, untouched ones as zero-packet rows at the end: SAC's
+        global renormalisation re-encodes every lane, ICE's buckets and
+        SD's flush slots span them.  The resume state carries only the
+        trace's already-seen lanes, gathered from the shard's
+        lane-aligned columns.
         """
-        keys = list(self._keys[shard])
-        n = len(keys)
-        raw_sizes = np.fromiter(
-            (chunk_flows[k].size if k in chunk_flows else 0 for k in keys),
-            dtype=np.int64, count=n)
-        order = np.argsort(-raw_sizes, kind="stable")
-        sorted_keys = [keys[i] for i in order]
-        sizes = raw_sizes[order]
-        offsets = np.zeros(n + 1, dtype=np.int64)
+        lane_of = self._keys[shard]
+        n = len(lane_of)
+        new_keys: List[Hashable] = []
+        touched = np.empty(len(chunk_flows), dtype=np.int64)
+        for i, key in enumerate(chunk_flows):
+            lane = lane_of.get(key)
+            if lane is None:
+                lane = n + len(new_keys)
+                new_keys.append(key)
+            touched[i] = lane
+        counts = np.fromiter((lens.size for lens in chunk_flows.values()),
+                             dtype=np.int64, count=len(chunk_flows))
+        if self._lane_local:
+            order = np.lexsort((touched, -counts))
+            lanes = touched[order]
+            sizes = counts[order]
+            chunk_keys = list(chunk_flows)
+            keys = [chunk_keys[i] for i in order.tolist()]
+        else:
+            raw_sizes = np.zeros(n + len(new_keys), dtype=np.int64)
+            raw_sizes[touched] = counts
+            lanes = np.argsort(-raw_sizes, kind="stable")
+            sizes = raw_sizes[lanes]
+            lane_keys = list(lane_of) + new_keys
+            keys = [lane_keys[i] for i in lanes.tolist()]
+        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        lengths = np.empty(int(offsets[-1]), dtype=np.float64)
-        for row, key in enumerate(sorted_keys):
-            if sizes[row]:
-                lengths[offsets[row]:offsets[row + 1]] = chunk_flows[key]
-        # reduceat is only safe on the non-empty segments: zero-size rows
-        # sort to the end, so the non-empty offsets tile `lengths` exactly.
-        volumes = np.zeros(n, dtype=np.int64)
-        nonzero = np.flatnonzero(sizes > 0)
-        if nonzero.size:
-            volumes[nonzero] = np.add.reduceat(
-                lengths, offsets[:-1][nonzero]).astype(np.int64)
-        return CompiledTrace(name=f"{self.name}:shard{shard}",
-                             keys=sorted_keys, lengths=lengths,
-                             offsets=offsets, sizes=sizes, volumes=volumes)
+        # Zero-size rows sort to the end, so the non-empty rows' lengths
+        # tile the packet array and reduceat is safe on them alone.
+        nonzero = int(np.count_nonzero(sizes))
+        lengths = (np.concatenate([chunk_flows[key] for key in keys[:nonzero]])
+                   .astype(np.float64, copy=False) if nonzero
+                   else np.empty(0, dtype=np.float64))
+        volumes = np.zeros(len(keys), dtype=np.int64)
+        if nonzero:
+            volumes[:nonzero] = np.add.reduceat(
+                lengths, offsets[:nonzero]).astype(np.int64)
+        trace = CompiledTrace(name=f"{self.name}:shard{shard}", keys=keys,
+                              lengths=lengths, offsets=offsets, sizes=sizes,
+                              volumes=volumes)
+
+        state = self._state[shard]
+        columns: Optional[Dict[str, np.ndarray]] = None
+        resume = None
+        if state is not None:
+            columns = (self._buffers[shard] if state.store is None
+                       else state.dense_arrays())
+            rows = np.flatnonzero(lanes < n)
+            positions = _lane_positions(lanes[rows], state.replicas)
+            resume = KernelState(
+                index={keys[row]: i for i, row in enumerate(rows.tolist())},
+                arrays={name: column[positions]
+                        for name, column in columns.items()},
+                scalars=state.scalars, replicas=state.replicas)
+        return _ShardChunk(trace=trace, lanes=lanes, new_keys=new_keys,
+                           columns=columns, resume=resume)
+
+    def _commit(self, shard: int, plan: _ShardChunk,
+                exported: KernelState) -> None:
+        """Scatter a replay's exported rows back into the shard's lanes."""
+        rows = exported.dense_arrays()
+        lane_of = self._keys[shard]
+        for key in plan.new_keys:
+            lane_of[key] = len(lane_of)
+        R = exported.replicas
+        width = len(lane_of) * R
+        columns = plan.columns
+        if columns is None:
+            columns = {name: np.zeros(0, dtype=arr.dtype)
+                       for name, arr in rows.items()}
+        columns = _grow(columns, width)
+        positions = _lane_positions(plan.lanes, R)
+        for name, arr in rows.items():
+            columns[name][positions] = arr
+        self._hold(shard, columns, exported.scalars, R)
+
+    def _hold(self, shard: int, columns: Dict[str, np.ndarray],
+              scalars: Dict[str, object], replicas: int) -> None:
+        """Make lane-aligned ``columns`` the shard's carried state.
+
+        Dense sessions keep ``columns`` as the shard's buffers and
+        expose views of the first lanes; compact stores encode those
+        lanes into a fresh store.
+        """
+        from repro.core import stores as _stores
+
+        lane_of = self._keys[shard]
+        width = len(lane_of) * replicas
+        if self._store is None:
+            self._buffers[shard] = columns
+            self._state[shard] = KernelState(
+                index=lane_of,
+                arrays={name: column[:width]
+                        for name, column in columns.items()},
+                scalars=scalars, replicas=replicas)
+            return
+        compact = _stores.make_store(self._store)
+        for name, column in columns.items():
+            compact.write(name, column[:width])
+        self._state[shard] = KernelState(
+            index=lane_of, arrays={}, scalars=scalars, replicas=replicas,
+            store=compact)
 
     def _ingest(self, keys: List[Hashable],
                 length_arrays: List[np.ndarray]) -> None:
@@ -649,27 +785,27 @@ class StreamSession:
             total = int(round(float(lens.sum())))
             packets += n
             volume += total
-            seen = self._keys[shard]
-            if key not in seen:
-                seen[key] = None
             truths = self._truths[shard]
             amount = n if self.mode == "size" else total
             truths[key] = truths.get(key, 0) + amount
 
         tasks = []
+        plans: Dict[int, _ShardChunk] = {}
+        lanes = 0
         for shard in sorted(per_shard):
             _faults.fire("shard.run", unit=shard)
             seed = np.random.SeedSequence(
                 entropy=self._root.entropy,
                 spawn_key=self._root_key + (self.epoch_index, shard,
                                             self._chunk_in_epoch))
+            plan = plans[shard] = self._shard_chunk(shard, per_shard[shard])
+            lanes += plan.trace.num_flows
             tasks.append(_ShardChunkTask(
                 shard=shard, index=shard,
                 scheme_factory=self.scheme_factory,
-                trace=self._shard_chunk_trace(shard, per_shard[shard]),
-                mode=self.mode, rng=seed, state=self._state[shard],
-                telemetry=self._enabled, engine=self.engine,
-                store=self._store))
+                trace=plan.trace, mode=self.mode, rng=seed,
+                state=plan.resume, telemetry=self._enabled,
+                engine=self.engine))
 
         if self.workers is None or self.workers == 1:
             outcomes = [_run_shard_chunk(task) for task in tasks]
@@ -680,13 +816,14 @@ class StreamSession:
                                  max_workers=self.workers,
                                  session=self._epoch_tel)
         for shard, state, snap in outcomes:
-            self._state[shard] = state
+            self._commit(shard, plans[shard], state)
             self._epoch_tel.merge(snap)
 
         self._epoch_tel.count("stream.chunks")
         self._epoch_tel.count("stream.packets", packets)
         self._epoch_tel.count("stream.bytes", volume)
         self._epoch_tel.count("stream.shard_runs", len(tasks))
+        self._epoch_tel.count("stream.lanes", lanes)
         self.packets_consumed += packets
         self.volume_consumed += volume
         self._epoch_packet_count += packets
@@ -744,6 +881,7 @@ class StreamSession:
             self._total_tel.merge(snap_tel)
             self._epoch_tel = obs.Telemetry()
         self._state = [None] * self.shards
+        self._buffers = [None] * self.shards
         self._keys = [dict() for _ in range(self.shards)]
         self._truths = [dict() for _ in range(self.shards)]
         self.epoch_index += 1
@@ -774,6 +912,38 @@ class StreamSession:
             packets=self.packets_consumed, volume=self.volume_consumed,
             elapsed_seconds=self.elapsed_seconds,
             telemetry=self._total_tel.snapshot() if self._enabled else None)
+
+    def _load_lanes(self, shard: int, state: KernelState) -> None:
+        """Adopt a checkpointed shard state, put into lane order once.
+
+        Checkpoints written before states were lane-aligned hold their
+        rows in the last chunk's size order; those rows are permuted to
+        the shard's lanes here (a compact store is re-encoded once).  A
+        lane-ordered state is adopted as it is.
+        """
+        lane_of = self._keys[shard]
+        n = len(lane_of)
+        R = state.replicas
+        rows = np.fromiter((state.index.get(key, -1) for key in lane_of),
+                           dtype=np.int64, count=n)
+        in_order = (state.flows == n
+                    and bool(np.array_equal(rows, np.arange(n))))
+        if in_order and state.store is not None:
+            self._state[shard] = KernelState(
+                index=lane_of, arrays={}, scalars=state.scalars,
+                replicas=R, store=state.store)
+            return
+        columns = state.dense_arrays()
+        if not in_order:
+            present = np.flatnonzero(rows >= 0)
+            src = _lane_positions(rows[present], R)
+            dst = _lane_positions(present, R)
+            permuted = {}
+            for name, column in columns.items():
+                permuted[name] = np.zeros(n * R, dtype=column.dtype)
+                permuted[name][dst] = column[src]
+            columns = permuted
+        self._hold(shard, columns, state.scalars, R)
 
     # -- checkpoint / restore ------------------------------------------------
 
@@ -889,8 +1059,11 @@ class StreamSession:
         session._epoch_packet_count = payload["epoch_packet_count"]
         session._epoch_volume_count = payload["epoch_volume_count"]
         session.elapsed_seconds = payload["elapsed_seconds"]
-        session._keys = [dict.fromkeys(keys) for keys in payload["keys"]]
-        session._state = list(payload["state"])
+        for shard, (keys, state) in enumerate(zip(payload["keys"],
+                                                  payload["state"])):
+            session._keys[shard] = {key: lane for lane, key in enumerate(keys)}
+            if state is not None:
+                session._load_lanes(shard, state)
         session._truths = [dict(truths) for truths in payload["truths"]]
         session.snapshots = list(payload["snapshots"])
         session._resume_skip = session.packets_consumed

@@ -128,6 +128,21 @@ class TestMeasure:
         assert metrics["perf_comparator_packets"] == trace.num_packets
         assert all(v > 0 for v in metrics.values())
 
+    def test_measure_stream_chunk_ratio_on_small_workload(self):
+        metrics = perf_gate.measure_stream_chunk_ratio(flows=1500, repeats=1)
+        assert set(metrics) == {"perf_stream_chunk_ratio",
+                                "perf_stream_chunk_large_pps",
+                                "perf_stream_chunk_small_pps"}
+        assert all(v > 0 for v in metrics.values())
+        assert metrics["perf_stream_chunk_ratio"] == pytest.approx(
+            metrics["perf_stream_chunk_large_pps"]
+            / metrics["perf_stream_chunk_small_pps"])
+
+    def test_chunk_ratio_is_a_structural_ceiling(self):
+        # A constant, never a baseline-ratcheted speedup key.
+        assert perf_gate.STREAM_CHUNK_CEILING == 1.5
+        assert "perf_stream_chunk_ratio" not in perf_gate.GATE_KEYS
+
 
 class TestShippedPerfBaseline:
     def test_committed_baseline_holds_gate_keys(self):

@@ -217,3 +217,45 @@ class TestRegistrySpecs:
     def test_unknown_registry_name_exits_2(self, capsys):
         assert main(["replay", "--trace", "wavelet"]) == 2
         assert "unknown trace" in capsys.readouterr().err
+
+
+class TestServeSizing:
+    """``serve --feed socket`` has no trace to size the counters from."""
+
+    class _Built(Exception):
+        pass
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        import repro.serve
+
+        seen = {}
+
+        def fake_build_daemon(factory, feed, **kwargs):
+            seen["factory"] = factory
+            raise self._Built()
+
+        monkeypatch.setattr(repro.serve, "build_daemon", fake_build_daemon)
+        return seen
+
+    def test_socket_feed_without_max_length_names_the_flag(self, captured,
+                                                            capsys):
+        assert main(["serve", "--feed", "socket", "--scheme", "disco"]) == 2
+        assert "--max-length" in capsys.readouterr().err
+        assert "factory" not in captured
+
+    def test_socket_feed_sizes_from_max_length(self, captured):
+        with pytest.raises(self._Built):
+            main(["serve", "--feed", "socket", "--scheme", "disco",
+                  "--max-length", "150000"])
+        assert dict(captured["factory"].params)["max_length"] == 150000.0
+
+    def test_socket_feed_unsized_scheme_needs_no_flag(self, captured):
+        with pytest.raises(self._Built):
+            main(["serve", "--feed", "socket", "--scheme", "exact"])
+
+    def test_generator_feed_still_derives_max_length(self, captured):
+        with pytest.raises(self._Built):
+            main(["serve", "--feed", "generator", "--scheme", "disco",
+                  "--trace", "nlanr:num_flows=40,seed=1"])
+        assert dict(captured["factory"].params)["max_length"] > 0
